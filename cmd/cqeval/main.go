@@ -25,7 +25,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -142,23 +141,12 @@ func run(args []string, stdout io.Writer) error {
 		if *explain {
 			fmt.Fprintln(stdout, "plan:", pq.Plan())
 		}
-		// Sequential runs stream through the range-over-func iterator;
-		// -parallel > 1 uses the sharded materializing path instead
-		// (streaming is single-goroutine by contract). Both are sorted
-		// below for deterministic output.
+		// -parallel > 1 shards the enumeration; either way the answers
+		// come back sorted, for deterministic output.
 		execStart := time.Now()
-		var answers [][]cqtrees.NodeID
-		if *parallel > 1 {
-			var err error
-			answers, err = pq.AllErr(doc, cqtrees.WithWorkers(*parallel))
-			if err != nil {
-				return fmt.Errorf("cqeval: query %d: %v", i+1, err)
-			}
-		} else {
-			for tuple := range pq.Tuples(doc) {
-				answers = append(answers, tuple)
-			}
-			slices.SortFunc(answers, slices.Compare)
+		answers, err := pq.AllErr(doc, cqtrees.WithWorkers(*parallel))
+		if err != nil {
+			return fmt.Errorf("cqeval: query %d: %v", i+1, err)
 		}
 		executeDur += time.Since(execStart)
 		if len(pq.Query().Head) == 0 {

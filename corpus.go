@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -17,7 +16,7 @@ import (
 // per-pair prepare/index/execute pipeline. A server holds one Corpus,
 // indexes each distinct document once (Add/Swap), and fans prepared
 // queries across all or a subset of the fleet with a bounded worker pool
-// (Bool/Nodes/Tuples and their *Set variants).
+// (Bool/Nodes/Tuples).
 //
 // Ownership and concurrency contract:
 //
@@ -295,11 +294,9 @@ func (c *Corpus) Names() []string { return c.c.Names() }
 type BatchOption func(*batchConfig)
 
 type batchConfig struct {
-	ctx       context.Context
-	workers   int
-	names     []string
-	filter    func(string) bool
-	maxTuples int
+	ctx     context.Context
+	workers int
+	names   []string
 }
 
 // WithBatchContext attaches a context to the batch: in-flight per-document
@@ -320,8 +317,8 @@ func WithBatchWorkers(n int) BatchOption {
 }
 
 // WithDocs restricts the batch to exactly the named documents, evaluated
-// in the given order. Names the corpus does not hold yield one result per
-// query with Err wrapping ErrUnknownDocument. Zero names select zero
+// in the given order. Names the corpus does not hold yield one result
+// with Err wrapping ErrUnknownDocument. Zero names select zero
 // documents — a dynamically built empty selection evaluates nothing, it
 // does not fall back to the whole fleet.
 func WithDocs(names ...string) BatchOption {
@@ -333,34 +330,10 @@ func WithDocs(names ...string) BatchOption {
 	}
 }
 
-// WithDocFilter restricts the batch to documents whose name passes the
-// filter (applied to all documents, or to the WithDocs selection).
-func WithDocFilter(fn func(name string) bool) BatchOption {
-	return func(c *batchConfig) { c.filter = fn }
-}
-
-// WithBatchMaxTuples caps each document's tuple enumeration at n answers
-// (Tuples/TuplesSet only; other modes ignore it). A capped document stops
-// enumerating as soon as the cap is exceeded — the engine does the
-// output-sensitive minimum of work and the result buffer stays bounded —
-// and its TuplesResult carries Truncated = true with the first n tuples
-// of the stream, sorted among themselves. An exactly-n answer relation is
-// complete, not truncated. n <= 0 (the default) disables the cap.
-//
-// Capped enumeration streams on the batch worker's goroutine, so the
-// per-document WithParallelism sharding does not apply under a cap (the
-// across-document WithBatchWorkers fan-out is unaffected).
-func WithBatchMaxTuples(n int) BatchOption {
-	return func(c *batchConfig) { c.maxTuples = n }
-}
-
 // BoolResult is one document's outcome of a Boolean batch.
 type BoolResult struct {
 	// Doc is the document's corpus name.
 	Doc string
-	// Query indexes the query set of a *Set batch; 0 for single-query
-	// batches.
-	Query int
 	// Sat reports Boolean satisfaction when Err is nil.
 	Sat bool
 	// Err is the per-document error: cancellation or ErrUnknownDocument.
@@ -369,8 +342,7 @@ type BoolResult struct {
 
 // NodesResult is one document's outcome of a monadic batch.
 type NodesResult struct {
-	Doc   string
-	Query int
+	Doc string
 	// Nodes is the sorted answer node set when Err is nil.
 	Nodes []NodeID
 	// Err is the per-document error: cancellation, ErrUnknownDocument, or
@@ -380,38 +352,17 @@ type NodesResult struct {
 
 // TuplesResult is one document's outcome of a tuple-enumeration batch.
 type TuplesResult struct {
-	Doc   string
-	Query int
+	Doc string
 	// Tuples is the sorted distinct answer relation when Err is nil (for
-	// Boolean queries: one empty tuple if satisfiable). Under
-	// WithBatchMaxTuples it holds at most that many tuples.
+	// Boolean queries: one empty tuple if satisfiable).
 	Tuples [][]NodeID
-	// Truncated reports that Tuples was cut at the WithBatchMaxTuples cap
-	// — the document has more answers than returned.
-	Truncated bool
-	Err       error
+	Err    error
 }
 
-// newBatchConfig folds the options.
-func newBatchConfig(opts []BatchOption) batchConfig {
-	var cfg batchConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// snapshot resolves the batch's documents and expands the job list; the
-// snapshot touches LRU clocks under the corpus lock exactly once.
-func (c *Corpus) snapshot(cfg batchConfig, queries int) (jobs []corpus.Job, missing []corpus.Miss) {
-	docs, missing := c.c.Snapshot(cfg.names, cfg.filter)
-	return corpus.Jobs(docs, queries), missing
-}
-
-// missingErr is the per-result error for a WithDocs name the snapshot
-// could not resolve: names the corpus does not hold wrap
-// ErrUnknownDocument; stubs that failed to hydrate carry their typed
-// hydration error (wrapping ErrDocumentQuarantined / ErrDocumentUnavailable).
+// missingErr is the per-result error for a name the snapshot could not
+// resolve: names the corpus does not hold wrap ErrUnknownDocument; stubs
+// that failed to hydrate carry their typed hydration error (wrapping
+// ErrDocumentQuarantined / ErrDocumentUnavailable).
 func missingErr(m corpus.Miss) error {
 	if errors.Is(m.Err, corpus.ErrUnknown) {
 		return fmt.Errorf("corpus: %q: %w", m.Name, ErrUnknownDocument)
@@ -419,28 +370,30 @@ func missingErr(m corpus.Miss) error {
 	return m.Err
 }
 
-// batchSeq is the shared skeleton behind the *Set methods (methods
+// batchSeq is the shared skeleton behind Bool, Nodes and Tuples (methods
 // cannot be generic, so each wraps this free function): snapshot the
-// document set, report missing WithDocs names as one error row per
-// query, fan eval across the jobs with the bounded pool, and wrap each
-// raw result into the public row type.
-func batchSeq[T, R any](c *Corpus, queries int, opts []BatchOption,
-	missingRow func(miss corpus.Miss, query int) R,
-	eval func(ctx context.Context, j corpus.Job) (T, error),
-	wrap func(corpus.Result[T]) R,
+// document set — resident documents read and LRU-touched in one corpus
+// critical section, stubs hydrated after it — report unresolved names as
+// error rows, and fan eval across the documents with the bounded pool,
+// wrapping each outcome into the public row type.
+func batchSeq[T, R any](c *Corpus, opts []BatchOption,
+	eval func(ctx context.Context, d corpus.Doc) (T, error),
+	row func(doc string, v T, err error) R,
 ) iter.Seq[R] {
-	cfg := newBatchConfig(opts)
-	jobs, missing := c.snapshot(cfg, queries)
+	var cfg batchConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	docs, missing := c.c.Snapshot(cfg.names)
 	return func(yield func(R) bool) {
+		var zero T
 		for _, m := range missing {
-			for q := 0; q < queries; q++ {
-				if !yield(missingRow(m, q)) {
-					return
-				}
+			if !yield(row(m.Name, zero, missingErr(m))) {
+				return
 			}
 		}
-		for r := range corpus.Run(cfg.ctx, cfg.workers, jobs, eval) {
-			if !yield(wrap(r)) {
+		for r := range corpus.Run(cfg.ctx, cfg.workers, docs, eval) {
+			if !yield(row(r.Job.Name, r.Value, r.Err)) {
 				return
 			}
 		}
@@ -448,8 +401,8 @@ func batchSeq[T, R any](c *Corpus, queries int, opts []BatchOption,
 }
 
 // Bool fans the prepared query across the corpus (all documents, or the
-// WithDocs/WithDocFilter selection) with a bounded worker pool, streaming
-// one BoolResult per document in completion order:
+// WithDocs selection) with a bounded worker pool, streaming one
+// BoolResult per document in completion order:
 //
 //	for r := range c.Bool(pq) {
 //		if r.Err == nil && r.Sat { hits = append(hits, r.Doc) }
@@ -457,22 +410,12 @@ func batchSeq[T, R any](c *Corpus, queries int, opts []BatchOption,
 //
 // Break out of the loop to cancel the remaining documents.
 func (c *Corpus) Bool(pq *PreparedQuery, opts ...BatchOption) iter.Seq[BoolResult] {
-	return c.BoolSet([]*PreparedQuery{pq}, opts...)
-}
-
-// BoolSet is Bool over a set of prepared queries: every (document, query)
-// pair is evaluated, and each result's Query field indexes pqs.
-func (c *Corpus) BoolSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[BoolResult] {
-	return batchSeq(c, len(pqs), opts,
-		func(m corpus.Miss, q int) BoolResult {
-			return BoolResult{Doc: m.Name, Query: q, Err: missingErr(m)}
+	return batchSeq(c, opts,
+		func(ctx context.Context, d corpus.Doc) (bool, error) {
+			return pq.p.BoolDoc(d.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
 		},
-		func(ctx context.Context, j corpus.Job) (bool, error) {
-			pq := pqs[j.Query]
-			return pq.p.BoolDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
-		},
-		func(r corpus.Result[bool]) BoolResult {
-			return BoolResult{Doc: r.Doc, Query: r.Query, Sat: r.Value, Err: r.Err}
+		func(doc string, sat bool, err error) BoolResult {
+			return BoolResult{Doc: doc, Sat: sat, Err: err}
 		})
 }
 
@@ -480,90 +423,23 @@ func (c *Corpus) BoolSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[Boo
 // sorted answer node set per document; see Bool for the batch contract.
 // Non-monadic queries report ErrNotMonadic in every result's Err.
 func (c *Corpus) Nodes(pq *PreparedQuery, opts ...BatchOption) iter.Seq[NodesResult] {
-	return c.NodesSet([]*PreparedQuery{pq}, opts...)
-}
-
-// NodesSet is Nodes over a set of prepared queries.
-func (c *Corpus) NodesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[NodesResult] {
-	return batchSeq(c, len(pqs), opts,
-		func(m corpus.Miss, q int) NodesResult {
-			return NodesResult{Doc: m.Name, Query: q, Err: missingErr(m)}
+	return batchSeq(c, opts,
+		func(ctx context.Context, d corpus.Doc) ([]NodeID, error) {
+			return pq.p.MonadicDoc(d.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
 		},
-		func(ctx context.Context, j corpus.Job) ([]NodeID, error) {
-			pq := pqs[j.Query]
-			return pq.p.MonadicDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
-		},
-		func(r corpus.Result[[]NodeID]) NodesResult {
-			return NodesResult{Doc: r.Doc, Query: r.Query, Nodes: r.Value, Err: r.Err}
+		func(doc string, nodes []NodeID, err error) NodesResult {
+			return NodesResult{Doc: doc, Nodes: nodes, Err: err}
 		})
 }
 
 // Tuples fans the prepared query across the corpus, streaming one sorted
 // distinct answer relation per document; see Bool for the batch contract.
 func (c *Corpus) Tuples(pq *PreparedQuery, opts ...BatchOption) iter.Seq[TuplesResult] {
-	return c.TuplesSet([]*PreparedQuery{pq}, opts...)
-}
-
-// cappedTuples is the internal eval payload of a tuples batch: the
-// (possibly capped) relation plus the truncation marker.
-type cappedTuples struct {
-	tuples    [][]NodeID
-	truncated bool
-}
-
-// TuplesSet is Tuples over a set of prepared queries.
-func (c *Corpus) TuplesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[TuplesResult] {
-	maxTuples := newBatchConfig(opts).maxTuples
-	return batchSeq(c, len(pqs), opts,
-		func(m corpus.Miss, q int) TuplesResult {
-			return TuplesResult{Doc: m.Name, Query: q, Err: missingErr(m)}
+	return batchSeq(c, opts,
+		func(ctx context.Context, d corpus.Doc) ([][]NodeID, error) {
+			return pq.p.AllDoc(d.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
 		},
-		func(ctx context.Context, j corpus.Job) (cappedTuples, error) {
-			pq := pqs[j.Query]
-			if maxTuples <= 0 {
-				v, err := pq.p.AllDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
-				return cappedTuples{tuples: v}, err
-			}
-			// Capped: stream until one past the cap — an exactly-full
-			// relation is complete, not truncated — then sort the prefix so
-			// capped rows keep the sorted-relation shape.
-			out := make([][]NodeID, 0, min(maxTuples, 64))
-			truncated := false
-			pq.p.ForEachTupleDoc(j.Doc.Doc, core.EnumOptions{Ctx: ctx}, func(t []NodeID) bool {
-				if len(out) >= maxTuples {
-					truncated = true
-					return false
-				}
-				cp := make([]NodeID, len(t))
-				copy(cp, t)
-				out = append(out, cp)
-				return true
-			})
-			// The streaming engine goes silent on cancellation; surface it
-			// as the row error like the uncapped path does.
-			if err := ctx.Err(); err != nil {
-				return cappedTuples{}, err
-			}
-			sortTuples(out)
-			return cappedTuples{tuples: out, truncated: truncated}, nil
-		},
-		func(r corpus.Result[cappedTuples]) TuplesResult {
-			return TuplesResult{Doc: r.Doc, Query: r.Query, Tuples: r.Value.tuples,
-				Truncated: r.Value.truncated, Err: r.Err}
+		func(doc string, tuples [][]NodeID, err error) TuplesResult {
+			return TuplesResult{Doc: doc, Tuples: tuples, Err: err}
 		})
-}
-
-// sortTuples orders a tuple relation lexicographically by NodeID.
-func sortTuples(ts [][]NodeID) {
-	sort.Slice(ts, func(i, j int) bool { return tupleLess(ts[i], ts[j]) })
-}
-
-// tupleLess is the lexicographic tuple order.
-func tupleLess(a, b []NodeID) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
 }

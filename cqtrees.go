@@ -30,8 +30,7 @@
 //     swap, memory accounting with optional LRU eviction) and fans
 //     prepared queries across all or a subset of them with a bounded
 //     worker pool, streaming per-document results (Corpus.Bool/Nodes/
-//     Tuples and the *Set variants). cmd/cqserve exposes the same engine
-//     over HTTP.
+//     Tuples). cmd/cqserve exposes the same engine over HTTP.
 //   - Expressiveness: ToAPQ translates any conjunctive query into an
 //     equivalent acyclic positive query (Theorem 6.10); ToXPath renders
 //     monadic APQs as Core-XPath expressions (Remark 6.1).

@@ -136,10 +136,11 @@ func ExampleNewCorpus() {
 	}
 
 	pq := cqtrees.MustCompile("Q(y) <- A(x), Child+(x, y), B(y)")
+	// Batch results stream in completion order.
 	for r := range c.Nodes(pq) {
 		fmt.Println(r.Doc, r.Nodes, r.Err)
 	}
-	// Output:
+	// Unordered output:
 	// a [1] <nil>
 	// b [1 3] <nil>
 }

@@ -228,13 +228,13 @@ func ReferenceEvalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
 		}
 	}
 	rec(0)
-	sortTupleSlice(out)
+	SortTuples(out)
 	return out
 }
 
-// sortTupleSlice sorts answer tuples lexicographically — the materialized
+// SortTuples sorts answer tuples lexicographically — the materialized
 // (All) output order of every engine.
-func sortTupleSlice(out [][]tree.NodeID) {
+func SortTuples(out [][]tree.NodeID) {
 	sort.Slice(out, func(i, j int) bool { return lessTuple(out[i], out[j]) })
 }
 
@@ -252,7 +252,7 @@ func collectSortedTuples(stream func(fn func([]tree.NodeID) bool)) [][]tree.Node
 		out = append(out, copyTuple(tuple))
 		return true
 	})
-	sortTupleSlice(out)
+	SortTuples(out)
 	return out
 }
 

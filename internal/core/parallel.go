@@ -119,7 +119,7 @@ func (p *Prepared) polyAllParallel(d *Document, workers int, stop func() bool) [
 	for _, r := range results {
 		out = append(out, r...)
 	}
-	sortTupleSlice(out)
+	SortTuples(out)
 	return out
 }
 
@@ -211,6 +211,6 @@ func (p *Prepared) acyclicAllParallel(d *Document, workers int, stop func() bool
 			out = append(out, tp)
 		}
 	}
-	sortTupleSlice(out)
+	SortTuples(out)
 	return out
 }

@@ -397,8 +397,8 @@ func (p *Prepared) AllDoc(d *Document, o EnumOptions) ([][]tree.NodeID, error) {
 		})
 		if !ordered {
 			// An unordered limit prefix keeps the sorted-relation shape
-			// (sorted among themselves, like the batch tuple cap).
-			sortTupleSlice(out)
+			// (sorted among themselves).
+			SortTuples(out)
 		}
 		if err := o.err(); err != nil {
 			return nil, err

@@ -668,9 +668,8 @@ func (c *Corpus) Names() []string {
 
 // Doc is a snapshot view of one named document.
 type Doc struct {
-	Name  string
-	Doc   *core.Document
-	Bytes int64
+	Name string
+	Doc  *core.Document
 }
 
 // Miss is one name a batch snapshot could not resolve, with the typed
@@ -682,29 +681,55 @@ type Miss struct {
 	Err  error
 }
 
-// Snapshot resolves a batch's document set, touching each selected
-// document's LRU clock and hydrating stubs on the way (so a batch over a
+// Snapshot resolves a batch's document set: exactly names, in the given
+// order, or every document in sorted-name order when names is nil. The
+// name list and the resident documents are read in one critical section,
+// which also touches their LRU clocks, so a concurrent Remove cannot
+// split them; stubs then hydrate outside the lock (so a batch over a
 // freshly opened directory pulls documents in as it reaches them, under
-// the byte budget). A non-nil names selects exactly those documents in
-// the given order (unresolvable names — unknown, quarantined, or failing
-// to hydrate — are returned as Misses, in input order); a nil names
-// selects every document in sorted-name order, restricted by filter when
-// non-nil. The returned documents stay valid — they are immutable — even
-// if the corpus mutates (or dehydrates them) afterwards.
-func (c *Corpus) Snapshot(names []string, filter func(string) bool) (docs []Doc, missing []Miss) {
-	if names == nil {
-		names = c.Names()
-	}
-	for _, name := range names {
-		if filter != nil && !filter(name) {
-			continue
+// the byte budget). Unresolvable names come back as Misses, in list
+// order: for explicit names every unknown, quarantined, or failing name;
+// for the whole fleet only hydration failures — a stub removed before it
+// hydrated was never asked for by name and is skipped. The returned
+// documents stay valid — they are immutable — even if the corpus mutates
+// (or dehydrates them) afterwards.
+func (c *Corpus) Snapshot(names []string) (docs []Doc, missing []Miss) {
+	explicit := names != nil
+	c.mu.Lock()
+	if !explicit {
+		names = make([]string, 0, len(c.entries))
+		for name := range c.entries {
+			names = append(names, name)
 		}
-		doc, err := c.GetErr(name)
-		if err != nil {
-			missing = append(missing, Miss{Name: name, Err: err})
-			continue
-		}
-		docs = append(docs, Doc{Name: name, Doc: doc, Bytes: doc.SizeBytes()})
+		sort.Strings(names)
 	}
-	return docs, missing
+	docs = make([]Doc, len(names))
+	for i, name := range names {
+		docs[i].Name = name
+		if e, ok := c.entries[name]; ok && e.doc != nil {
+			c.clock++
+			e.used = c.clock
+			docs[i].Doc = e.doc
+		}
+	}
+	c.mu.Unlock()
+
+	n := 0
+	for _, d := range docs {
+		if d.Doc == nil {
+			doc, err := c.GetErr(d.Name)
+			switch {
+			case err == nil:
+				d.Doc = doc
+			case !explicit && errors.Is(err, ErrUnknown):
+				continue
+			default:
+				missing = append(missing, Miss{Name: d.Name, Err: err})
+				continue
+			}
+		}
+		docs[n] = d
+		n++
+	}
+	return docs[:n], missing
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/tree"
 )
 
@@ -134,20 +136,70 @@ func TestSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	docs, missing := c.Snapshot(nil, nil)
+	docs, missing := c.Snapshot(nil)
 	if names := docNames(docs); !reflect.DeepEqual(names, []string{"x", "y", "z"}) || missing != nil {
 		t.Fatalf("full snapshot = %v, missing %v", names, missing)
 	}
-	docs, missing = c.Snapshot([]string{"z", "nope", "x"}, nil)
+	docs, missing = c.Snapshot([]string{"z", "nope", "x"})
 	if names := docNames(docs); !reflect.DeepEqual(names, []string{"z", "x"}) {
 		t.Fatalf("named snapshot = %v", names)
 	}
 	if len(missing) != 1 || missing[0].Name != "nope" || !errors.Is(missing[0].Err, ErrUnknown) {
 		t.Fatalf("missing = %v", missing)
 	}
-	docs, _ = c.Snapshot(nil, func(name string) bool { return name != "y" })
-	if names := docNames(docs); !reflect.DeepEqual(names, []string{"x", "z"}) {
-		t.Fatalf("filtered snapshot = %v", names)
+	if docs, missing = c.Snapshot([]string{}); len(docs) != 0 || missing != nil {
+		t.Fatalf("empty selection = %v, missing %v", docNames(docs), missing)
+	}
+}
+
+// removeOnOpen removes a document from the corpus the moment its
+// snapshot file is opened: a Remove racing the stub's hydration, made
+// deterministic.
+type removeOnOpen struct {
+	fault.OS
+	c          *Corpus
+	name, path string
+}
+
+func (f removeOnOpen) Open(path string) (fault.File, error) {
+	if path == f.path {
+		f.c.Remove(f.name)
+	}
+	return f.OS.Open(path)
+}
+
+// TestSnapshotStubRemovedDuringHydration: a stub removed while the
+// snapshot hydrates it is skipped by a whole-fleet snapshot, which never
+// named it, and reported as unknown for an explicit name list.
+func TestSnapshotStubRemovedDuringHydration(t *testing.T) {
+	for _, names := range [][]string{nil, {"keep", "gone"}} {
+		dir := t.TempDir()
+		src := New()
+		for _, name := range []string{"keep", "gone"} {
+			if err := src.Add(name, doc("A(B)")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := src.PersistDir(dir); err != nil {
+			t.Fatalf("PersistDir: %v", err)
+		}
+		c := New()
+		if n, err := c.LoadDir(dir); err != nil || n != 2 {
+			t.Fatalf("LoadDir = %d, %v", n, err)
+		}
+		c.SetFS(removeOnOpen{c: c, name: "gone", path: filepath.Join(dir, FileName("gone"))})
+
+		docs, missing := c.Snapshot(names)
+		if got := docNames(docs); !reflect.DeepEqual(got, []string{"keep"}) {
+			t.Fatalf("names %v: snapshot = %v, want [keep]", names, got)
+		}
+		if names == nil {
+			if missing != nil {
+				t.Fatalf("whole fleet: missing = %v, want none", missing)
+			}
+		} else if len(missing) != 1 || missing[0].Name != "gone" || !errors.Is(missing[0].Err, ErrUnknown) {
+			t.Fatalf("explicit: missing = %v, want gone: ErrUnknown", missing)
+		}
 	}
 }
 
@@ -162,18 +214,20 @@ func docNames(docs []Doc) []string {
 // TestRunParity: the parallel pool produces exactly the sequential result
 // set (as a set — completion order differs), for every worker count.
 func TestRunParity(t *testing.T) {
-	var docs []Doc
-	for i := 0; i < 7; i++ {
-		docs = append(docs, Doc{Name: fmt.Sprintf("d%d", i)})
+	var jobs []string
+	for i := 0; i < 21; i++ {
+		jobs = append(jobs, fmt.Sprintf("d%d/%d", i/3, i%3))
 	}
-	jobs := Jobs(docs, 3)
-	eval := func(_ context.Context, j Job) (string, error) {
-		return fmt.Sprintf("%s/%d", j.Doc.Name, j.Query), nil
+	eval := func(_ context.Context, j string) (string, error) {
+		return "done " + j, nil
 	}
 	var want []string
 	for r := range Run(nil, 1, jobs, eval) {
 		if r.Err != nil {
 			t.Fatalf("sequential: %v", r.Err)
+		}
+		if r.Value != "done "+r.Job {
+			t.Fatalf("sequential: job %q carries value %q", r.Job, r.Value)
 		}
 		want = append(want, r.Value)
 	}
@@ -185,6 +239,9 @@ func TestRunParity(t *testing.T) {
 		for r := range Run(context.Background(), workers, jobs, eval) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d: %v", workers, r.Err)
+			}
+			if r.Value != "done "+r.Job {
+				t.Fatalf("workers=%d: job %q carries value %q", workers, r.Job, r.Value)
 			}
 			got = append(got, r.Value)
 		}
@@ -200,14 +257,13 @@ func TestRunParity(t *testing.T) {
 // TestRunEarlyExit: breaking out of the iterator cancels the derived
 // context, the pool joins, and not every job runs.
 func TestRunEarlyExit(t *testing.T) {
-	docs := make([]Doc, 64)
-	for i := range docs {
-		docs[i] = Doc{Name: fmt.Sprintf("d%03d", i)}
+	jobs := make([]int, 64)
+	for i := range jobs {
+		jobs[i] = i
 	}
-	jobs := Jobs(docs, 1)
 	var mu sync.Mutex
 	ran := 0
-	eval := func(ctx context.Context, j Job) (int, error) {
+	eval := func(ctx context.Context, j int) (int, error) {
 		mu.Lock()
 		ran++
 		mu.Unlock()
@@ -234,16 +290,16 @@ func TestRunEarlyExit(t *testing.T) {
 // sequentially, and a mid-flight cancel stops dispatch while in-flight
 // evaluations report the context error.
 func TestRunCancellation(t *testing.T) {
-	jobs := Jobs([]Doc{{Name: "a"}, {Name: "b"}, {Name: "c"}}, 1)
+	jobs := []string{"a", "b", "c"}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for range Run(cancelled, 1, jobs, func(context.Context, Job) (int, error) { return 0, nil }) {
+	for range Run(cancelled, 1, jobs, func(context.Context, string) (int, error) { return 0, nil }) {
 		t.Fatal("pre-cancelled sequential Run yielded a result")
 	}
 
 	ctx, cancelMid := context.WithCancel(context.Background())
 	results := 0
-	for r := range Run(ctx, 2, jobs, func(ctx context.Context, j Job) (int, error) {
+	for r := range Run(ctx, 2, jobs, func(ctx context.Context, j string) (int, error) {
 		cancelMid()
 		return 0, ctx.Err()
 	}) {
@@ -265,25 +321,24 @@ func TestRunCancellation(t *testing.T) {
 // dispatcher's last liveness check and the cancel would still evaluate.
 func TestRunCancelSkipsEval(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
-		docs := make([]Doc, 8)
-		for i := range docs {
-			docs[i] = Doc{Name: fmt.Sprintf("d%d", i)}
+		jobs := make([]int, 8)
+		for i := range jobs {
+			jobs[i] = i
 		}
-		jobs := Jobs(docs, 1)
 		ctx, cancel := context.WithCancel(context.Background())
 
 		const workers = 2
 		var calls atomic.Int32
 		entered := make(chan struct{}, workers)
 		gate := make(chan struct{})
-		eval := func(ctx context.Context, j Job) (int, error) {
+		eval := func(ctx context.Context, j int) (int, error) {
 			calls.Add(1)
 			entered <- struct{}{}
 			<-gate
 			return 0, ctx.Err()
 		}
 
-		results := make(chan Result[int], len(jobs))
+		results := make(chan Result[int, int], len(jobs))
 		go func() {
 			defer close(results)
 			for r := range Run(ctx, workers, jobs, eval) {

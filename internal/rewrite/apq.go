@@ -9,7 +9,6 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -83,14 +82,7 @@ func (a *APQ) EvalAll(t *tree.Tree) [][]tree.NodeID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
+	core.SortTuples(out)
 	return out
 }
 

@@ -5,26 +5,28 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	cqtrees "repro"
 	"repro/internal/cache"
+	"repro/internal/corpus"
 )
 
-// The cached /eval path. When the server runs with a result cache
-// (-cache-bytes > 0), buffered evaluations go through here instead of the
-// corpus batch iterators:
+// The buffered /eval path: every JSON (non-NDJSON, non-paginated)
+// evaluation runs here, with the result cache in front of the admission
+// gate. A server without a cache (-cache-bytes 0) runs the same code with
+// a nil *cache.Cache, on which every lookup misses and nothing is stored.
 //
 //   - Lookups happen BEFORE admission: a request whose every document hits
 //     the cache is answered without ever taking (or waiting for) a gate
 //     slot — the whole point of caching is that repeated work must not
 //     compete with real work for evaluation capacity.
-//   - Misses are evaluated per document through cache.Do, so concurrent
-//     requests for the same (query, document, version) collapse onto one
-//     engine evaluation, and the result is stored for the next request.
+//   - Misses are evaluated per document through cache.Do on the
+//     corpus.Run worker pool, so concurrent requests for the same (query,
+//     document, version) collapse onto one engine evaluation, and the
+//     result is stored for the next request.
 //   - Keys carry the document's corpus version (see Corpus.Version): a
 //     swapped or re-added document gets a new version, so a stale entry
 //     can never match a post-swap lookup. The corpus invalidation hook
@@ -43,13 +45,16 @@ type cachedRelation struct {
 	complete bool
 }
 
-// evalCached is the buffered /eval path with the result cache in front of
-// the admission gate. The response contract is identical to evalBuffered:
-// same rows, same sorting, same 504 semantics — only the work is
-// memoized.
+// evalCached answers a buffered /eval batch: one row per document, sorted
+// by name, 504 when the deadline cut work short, and the persistence
+// escalation when every row failed in the snapshot layer.
 func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	req evalRequest, pq *cqtrees.PreparedQuery, mode string, start time.Time) {
 	fp := pq.Query().Fingerprint()
+	// The document list is frozen up front (an unrestricted request takes
+	// the current fleet): batch completeness is then decidable — a timed
+	// out batch may never dispatch some documents, and those produce no
+	// result rows at all.
 	explicit := len(req.Docs) > 0
 	docs := req.Docs
 	if !explicit {
@@ -62,8 +67,10 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 	cancelledRows := 0
 	var tally hydraTally
 	add := func(doc string, err error, v any) {
-		// Same contract as evalBuffered: an implicitly selected document
-		// that vanished between Names() and evaluation is not an error row.
+		// An implicit fleet selection can race a concurrent Remove or
+		// LRU eviction between Names() and evaluation; the client never
+		// asked for that document by name, so its disappearance is not an
+		// error row.
 		if err != nil && !explicit && errors.Is(err, cqtrees.ErrUnknownDocument) {
 			expected--
 			return
@@ -94,6 +101,7 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 		ver  uint64
 	}
 	var misses []miss
+	hits := 0
 	for _, name := range docs {
 		ver, ok := s.corpus.Version(name)
 		if !ok {
@@ -101,13 +109,16 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 			continue
 		}
 		if v, ok := s.cache.Get(cache.Key{Query: fp, Doc: name, Version: ver, Mode: mode}); ok {
+			hits++
 			add(name, nil, v)
 			continue
 		}
 		misses = append(misses, miss{name, ver})
 	}
 
-	// Pass 2 — only misses pay for admission and evaluation.
+	// Pass 2 — only misses pay for admission and evaluation. The pool
+	// stops dispatching once the deadline fires, so misses not yet started
+	// never hydrate their document.
 	if len(misses) > 0 {
 		release, err := s.gate.Acquire(ctx)
 		if err != nil {
@@ -118,48 +129,26 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 		if s.hook != nil {
 			s.hook(r)
 		}
-
-		workers := req.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(misses) {
-			workers = len(misses)
-		}
-		type outcome struct {
-			v   any
-			err error
-		}
-		outs := make([]outcome, len(misses))
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					m := misses[i]
-					k := cache.Key{Query: fp, Doc: m.name, Version: m.ver, Mode: mode}
-					v, err := s.cache.Do(ctx, k, func() (any, int64, error) {
-						return s.computeDoc(ctx, pq, mode, m.name, capN)
-					})
-					outs[i] = outcome{v, err}
-				}
-			}()
-		}
-		for i := range misses {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		for i, m := range misses {
-			add(m.name, outs[i].err, outs[i].v)
+		results := corpus.Run(ctx, req.Workers, misses, func(ctx context.Context, m miss) (any, error) {
+			k := cache.Key{Query: fp, Doc: m.name, Version: m.ver, Mode: mode}
+			return s.cache.Do(ctx, k, func() (any, int64, error) {
+				return s.computeDoc(ctx, pq, mode, m.name, capN)
+			})
+		})
+		// Collected before add runs: called from a range-over-func body,
+		// add would escape to the heap with all the row state it shares,
+		// costing every request — all-hit ones included — four allocations.
+		for _, res := range slices.AppendSeq(make([]corpus.Result[miss, any], 0, len(misses)), results) {
+			add(res.Job.name, res.Err, res.Value)
 		}
 	}
 
 	resp.Docs = len(resp.Results)
 	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Doc < resp.Results[j].Doc })
 
+	// 504 only when the deadline actually cut work short: some row carried
+	// a cancellation error, or some frozen-list document never produced a
+	// row. A batch that completed just before the deadline fired is a 200.
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) &&
 		(cancelledRows > 0 || resp.Docs < expected) {
 		resp.TimedOut = true
@@ -167,24 +156,25 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 		writeJSON(w, http.StatusGatewayTimeout, resp)
 		return
 	}
-	// Same persistence escalation as evalBuffered: an all-failed batch
-	// with the persistence layer involved becomes 503 (transient) or 404
-	// (all quarantined).
+	// Persistence escalation: when every row failed and the persistence
+	// layer was involved, the batch as a whole is undeliverable — 503 +
+	// Retry-After (transient, retry here later) or 404 (everything asked
+	// for is quarantined; retrying cannot help).
 	if status := tally.status(w, resp.Docs, resp.Errors); status != http.StatusOK {
 		s.metrics.observeEval(start, pq, "failed")
 		writeJSON(w, status, resp)
 		return
 	}
 	out := "ok"
-	if len(misses) == 0 {
-		out = "cached" // never acquired a slot, never ran the engine
+	if hits > 0 && len(misses) == 0 {
+		out = "cached" // served from the cache, never ran the engine
 	}
 	s.metrics.observeEval(start, pq, out)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// missingDocErr mirrors the batch iterators' per-row error for a document
-// the corpus does not hold.
+// missingDocErr is the per-row error for a document the corpus does not
+// hold, matching Corpus.GetErr's.
 func missingDocErr(name string) error {
 	return fmt.Errorf("corpus: %q: %w", name, cqtrees.ErrUnknownDocument)
 }
@@ -197,11 +187,11 @@ func missingDocErr(name string) error {
 //
 // For mode "tuples" the cached value must be the COMPLETE relation —
 // cached entries serve every future answer cap, so a capped prefix would
-// poison larger requests. Enumeration therefore continues past the
-// requesting cap while the accumulated bytes still fit the cache's
-// per-entry budget; once the relation has outgrown cacheability AND the
-// response prefix (cap plus the one-past-cap truncation witness) is in
-// hand, it stops: the remaining work could benefit no one.
+// poison larger requests. A capped request therefore enumerates up to
+// max(cap, tuples that fit the per-entry budget) + 1 answers: reaching
+// that limit proves the relation both exceeds the cap (the one-past-cap
+// truncation witness) and outgrows cacheability, so the remaining work
+// could benefit no one.
 func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode, name string, capN int) (any, int64, error) {
 	doc, err := s.corpus.GetErr(name)
 	if err != nil {
@@ -220,30 +210,21 @@ func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode
 		return v, 48 + 4*int64(len(v)), err
 	default: // tuples
 		budget := s.cache.MaxEntry()
-		var out [][]cqtrees.NodeID
-		bytes := int64(64)
-		stopped := false
-		for t := range pq.Tuples(doc, cqtrees.WithContext(ctx)) {
-			cp := make([]cqtrees.NodeID, len(t))
-			copy(cp, t)
-			out = append(out, cp)
-			bytes += 32 + 4*int64(len(t))
-			if bytes > budget && capN > 0 && len(out) > capN {
-				stopped = true
-				break
-			}
+		tupleBytes := 32 + 4*int64(len(pq.Query().Head))
+		limit := 0
+		if capN > 0 {
+			limit = max(capN, int(max(budget-64, 0)/tupleBytes)) + 1
 		}
-		// The tuple iterator goes silent on cancellation; surface it as the
-		// row error unless we stopped on purpose first.
-		if err := ctx.Err(); err != nil && !stopped {
+		tuples, err := pq.AllErr(doc, cqtrees.WithContext(ctx), cqtrees.WithLimit(limit))
+		if err != nil {
 			return nil, 0, err
 		}
-		sortTupleRows(out)
-		size := bytes
-		if stopped {
-			size = budget + 1 // incomplete relations must never cache
+		if limit > 0 && len(tuples) == limit {
+			// Stopped at the limit: the relation is incomplete, and an
+			// incomplete relation must never cache.
+			return cachedRelation{tuples: tuples}, budget + 1, nil
 		}
-		return cachedRelation{tuples: out, complete: !stopped}, size, nil
+		return cachedRelation{tuples: tuples, complete: true}, 64 + tupleBytes*int64(len(tuples)), nil
 	}
 }
 
@@ -272,18 +253,4 @@ func renderCached(row *evalResult, mode string, v any, capN int) {
 		row.Tuples = tuples
 		row.Truncated = truncated
 	}
-}
-
-// sortTupleRows orders a tuple relation lexicographically by NodeID —
-// the same order the batch iterators return.
-func sortTupleRows(ts [][]cqtrees.NodeID) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

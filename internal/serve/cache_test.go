@@ -380,3 +380,68 @@ func TestEvalCacheTimeout(t *testing.T) {
 		t.Fatalf("504 body: %s", rr.Body.String())
 	}
 }
+
+// evalOutcomes scrapes the /eval latency histogram's request counts by
+// outcome label.
+func evalOutcomes(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	rr := do(t, h, "GET", "/metrics", "", nil)
+	wantStatus(t, rr, http.StatusOK)
+	counts := map[string]float64{}
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		series, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(series, "cqtrees_eval_seconds_count{") {
+			continue
+		}
+		_, outcome, _ := strings.Cut(series, `outcome="`)
+		outcome, _, _ = strings.Cut(outcome, `"`)
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("bad value in %q: %v", line, err)
+		}
+		counts[outcome] += f
+	}
+	return counts
+}
+
+// TestEvalCachedOutcome: the "cached" outcome label means the request was
+// answered from the cache. A request with nothing to evaluate — every
+// explicitly named document unknown — has no misses, but no hits either,
+// and is labeled "ok".
+func TestEvalCachedOutcome(t *testing.T) {
+	_, h := cachedServer(t, Config{})
+
+	wantStatus(t, do(t, h, "POST", "/eval", `{"query": "q", "mode": "nodes", "docs": ["ghost", "phantom"]}`, nil), http.StatusOK)
+	if got := evalOutcomes(t, h); got["cached"] != 0 || got["ok"] != 1 {
+		t.Fatalf("all-unknown request outcomes = %v, want one ok, none cached", got)
+	}
+
+	body := `{"query": "q", "mode": "nodes", "docs": ["a"]}`
+	wantStatus(t, do(t, h, "POST", "/eval", body, nil), http.StatusOK)
+	wantStatus(t, do(t, h, "POST", "/eval", body, nil), http.StatusOK)
+	if got := evalOutcomes(t, h); got["cached"] != 1 || got["ok"] != 2 {
+		t.Fatalf("cold+warm outcomes = %v, want ok 2, cached 1", got)
+	}
+}
+
+// TestEvalDeadlineSkipsHydration: once the deadline fires, misses not yet
+// started are never dispatched — so a snapshot-backed document is not
+// hydrated for a result no one will receive, and the batch answers 504.
+func TestEvalDeadlineSkipsHydration(t *testing.T) {
+	dir := t.TempDir()
+	persistedServer(t, Config{DataDir: dir}, map[string]string{
+		"a": "A(B)", "b": "A(B,C)", "c": "A(C(B))",
+	})
+	// Restarted from the directory, every document is a stub.
+	s := mustServer(t, Config{DataDir: dir, CacheBytes: 1 << 20})
+	h := s.Handler()
+	registerQuery(t, h, "q")
+	s.hook = func(*http.Request) { time.Sleep(50 * time.Millisecond) }
+
+	before := s.Corpus().Hydrations()
+	rr := do(t, h, "POST", "/eval", `{"query": "q", "mode": "bool", "timeout_ms": 5}`, nil)
+	wantStatus(t, rr, http.StatusGatewayTimeout)
+	if after := s.Corpus().Hydrations(); after != before {
+		t.Fatalf("%d documents hydrated after the deadline", after-before)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -244,34 +243,30 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The cached path manages admission itself: lookups happen before the
-	// gate, and only cache misses acquire a slot. Streaming responses
-	// bypass the cache — they exist for results too large to materialize,
-	// which are exactly the ones the cache's per-entry cap refuses.
-	if s.cache != nil && !wantsNDJSON(r) {
-		s.evalCached(ctx, w, r, req, pq, mode, start)
-		return
-	}
-
-	// Admission: evaluation is the expensive tier, so only it passes the
-	// gate (metadata endpoints stay responsive under saturation). The
-	// release is deferred, so even a panicking evaluation — converted to a
-	// 500 by the recovery middleware — frees its slot.
-	release, err := s.gate.Acquire(ctx)
-	if err != nil {
-		s.admissionReject(w, err)
-		return
-	}
-	defer release()
-	if s.hook != nil {
-		s.hook(r)
-	}
-
+	// Streaming responses bypass the cache — they exist for results too
+	// large to materialize, which are exactly the ones the cache's
+	// per-entry cap refuses.
 	if wantsNDJSON(r) {
+		// Admission: evaluation is the expensive tier, so only it passes
+		// the gate (metadata endpoints stay responsive under saturation).
+		// The release is deferred, so even a panicking evaluation —
+		// converted to a 500 by the recovery middleware — frees its slot.
+		release, err := s.gate.Acquire(ctx)
+		if err != nil {
+			s.admissionReject(w, err)
+			return
+		}
+		defer release()
+		if s.hook != nil {
+			s.hook(r)
+		}
 		s.evalNDJSON(ctx, w, req, pq, mode, start)
 		return
 	}
-	s.evalBuffered(ctx, w, req, pq, mode, start)
+	// Every buffered response runs the cache-fronted path, which manages
+	// admission itself: lookups happen before the gate, and only cache
+	// misses acquire a slot. Without a cache every lookup misses.
+	s.evalCached(ctx, w, r, req, pq, mode, start)
 }
 
 // evalPaginated answers one page of one document's ordered answer
@@ -343,114 +338,6 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 	if page.Next != "" {
 		resp.Truncated = 1
 		resp.NextCursor = page.Next
-	}
-	s.metrics.observeEval(start, pq, "ok")
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// evalBuffered is the classic JSON response path: the whole batch fans
-// out across the worker pool and the response materializes in memory —
-// bounded by the answer cap when one is configured.
-func (s *Server) evalBuffered(ctx context.Context, w http.ResponseWriter, req evalRequest, pq *cqtrees.PreparedQuery, mode string, start time.Time) {
-	// The document list is frozen up front (an unrestricted request takes
-	// the current fleet): batch completeness is then decidable — a timed
-	// out batch may never dispatch some documents, and those produce no
-	// result rows at all.
-	explicit := len(req.Docs) > 0
-	docs := req.Docs
-	if !explicit {
-		docs = s.corpus.Names()
-	}
-	expected := len(docs)
-	opts := []cqtrees.BatchOption{
-		cqtrees.WithBatchContext(ctx),
-		cqtrees.WithBatchWorkers(req.Workers),
-		cqtrees.WithDocs(docs...),
-	}
-	cap := s.answerCap(req.MaxAnswers)
-	if mode == "tuples" && cap > 0 {
-		opts = append(opts, cqtrees.WithBatchMaxTuples(cap))
-	}
-
-	resp := evalResponse{Mode: mode, Plan: pq.Plan().String(), Results: make([]evalResult, 0, len(docs))}
-	cancelledRows := 0
-	var tally hydraTally
-	add := func(doc string, err error, fill func(*evalResult)) {
-		// An implicit fleet selection can race a concurrent Remove or
-		// LRU eviction between Names() and the batch snapshot; the
-		// client never asked for that document by name, so its
-		// disappearance is not an error row.
-		if err != nil && !explicit && errors.Is(err, cqtrees.ErrUnknownDocument) {
-			expected--
-			return
-		}
-		// Count rows that reached the engine under their strategy; an
-		// unknown document (explicitly named, hence an error row) did not.
-		if err == nil || !errors.Is(err, cqtrees.ErrUnknownDocument) {
-			s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
-		}
-		row := evalResult{Doc: doc}
-		if err != nil {
-			row.Error = err.Error()
-			resp.Errors++
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				cancelledRows++
-			}
-			reason, retryAfter := reasonOf(err)
-			row.Reason = reason
-			tally.count(reason, retryAfter)
-		} else {
-			fill(&row)
-		}
-		resp.Results = append(resp.Results, row)
-	}
-	// Empty node/tuple sets need no normalization: omitempty drops the
-	// field for nil and empty alike, so a successful empty result is a
-	// row with neither payload nor error.
-	switch mode {
-	case "bool":
-		for r := range s.corpus.Bool(pq, opts...) {
-			sat := r.Sat
-			add(r.Doc, r.Err, func(row *evalResult) { row.Sat = &sat })
-		}
-	case "nodes":
-		for r := range s.corpus.Nodes(pq, opts...) {
-			nodes := r.Nodes
-			add(r.Doc, r.Err, func(row *evalResult) { row.Nodes = nodes })
-		}
-	case "tuples":
-		for r := range s.corpus.Tuples(pq, opts...) {
-			tuples, truncated := r.Tuples, r.Truncated
-			add(r.Doc, r.Err, func(row *evalResult) {
-				row.Tuples = tuples
-				row.Truncated = truncated
-				if truncated {
-					resp.Truncated++
-				}
-			})
-		}
-	}
-	resp.Docs = len(resp.Results)
-	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Doc < resp.Results[j].Doc })
-
-	// 504 only when the deadline actually cut work short: some row carried
-	// a cancellation error, or some frozen-list document never produced a
-	// row. A batch that completed just before the deadline fired is a 200.
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) &&
-		(cancelledRows > 0 || resp.Docs < expected) {
-		resp.TimedOut = true
-		s.metrics.observeEval(start, pq, "timeout")
-		writeJSON(w, http.StatusGatewayTimeout, resp)
-		return
-	}
-	// Persistence escalation: when every row failed and the persistence
-	// layer was involved, the batch as a whole is undeliverable — 503 +
-	// Retry-After (transient, retry here later) or 404 (everything asked
-	// for is quarantined; retrying cannot help).
-	if status := tally.status(w, resp.Docs, resp.Errors); status != http.StatusOK {
-		s.metrics.observeEval(start, pq, "failed")
-		writeJSON(w, status, resp)
-		return
 	}
 	s.metrics.observeEval(start, pq, "ok")
 	writeJSON(w, http.StatusOK, resp)

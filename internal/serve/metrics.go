@@ -28,8 +28,9 @@ type serveMetrics struct {
 	httpRequests *metrics.CounterVec
 
 	// evalSeconds is the /eval latency histogram by plan strategy and
-	// outcome ("ok", "timeout", or "cached" when every document was
-	// served from the result cache without touching the engine).
+	// outcome ("ok", "timeout", "failed", or "cached" when at least one
+	// document was served from the result cache and none needed the
+	// engine).
 	// Admission wait is included — it is part of the latency a client
 	// observes.
 	evalSeconds *metrics.HistogramVec

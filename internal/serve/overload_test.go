@@ -58,6 +58,13 @@ func TestServerOverload(t *testing.T) {
 		mu.Unlock()
 		<-step
 	}
+	recorded := func(n int) func() bool {
+		return func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(admitted) >= n
+		}
+	}
 
 	before := runtime.NumGoroutine()
 	ts := httptest.NewServer(h)
@@ -81,6 +88,7 @@ func TestServerOverload(t *testing.T) {
 	launch("A")
 	launch("B")
 	waitFor(t, "slots to fill", func() bool { return s.InFlight() == 2 })
+	waitFor(t, "A and B to enter the hook", recorded(2))
 
 	// Two more queue, in a known order (each observably queued before the
 	// next launches).
@@ -109,10 +117,17 @@ func TestServerOverload(t *testing.T) {
 		sheds++
 	}
 
-	// Release the four admitted evals one at a time. FIFO handoff means C
-	// is admitted before D, whatever order A and B finish in.
+	// Release the four admitted evals one step at a time. After each of
+	// the first two steps, wait for the freed slot's next admission to
+	// enter the hook: released together, the gate's handoffs to C and D
+	// would race each other to the hook, and the recorded order would not
+	// be the handoff order. FIFO handoff means C is admitted before D,
+	// whatever order A and B finish in.
 	for i := 0; i < 4; i++ {
 		step <- struct{}{}
+		if i < 2 {
+			waitFor(t, fmt.Sprintf("admission %d", 3+i), recorded(3+i))
+		}
 	}
 	got := map[string]outcome{}
 	for i := 0; i < 4; i++ {

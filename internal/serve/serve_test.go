@@ -3,14 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	cqtrees "repro"
 	"repro/internal/consistency"
+	"repro/internal/tree"
 )
 
 // testServer returns a handler over a fresh in-memory engine.
@@ -448,4 +452,86 @@ func TestDataDirRestart(t *testing.T) {
 	s3 := mustServer(t, Config{DataDir: dir})
 	wantStatus(t, do(t, s3.Handler(), "GET", "/docs/xml", "", nil), http.StatusNotFound)
 	wantStatus(t, do(t, s3.Handler(), "GET", "/docs/term", "", nil), http.StatusOK)
+}
+
+// TestEvalMaxAnswers: max_answers caps each document's tuples row at n
+// sorted answers, on a cache-off and a cache-on server alike and at any
+// worker count. A capped row is marked truncated and holds exactly n
+// tuples drawn from the full relation; a document with at most n answers
+// is complete and unmarked — including the exactly-n case — so a cap at
+// least as large as every relation reproduces the uncapped rows. The
+// cache-on server's per-entry cap is small enough that the larger
+// relations never cache, so its capped evaluations stop early too.
+func TestEvalMaxAnswers(t *testing.T) {
+	// Cyclic over {Child, Child+, Following}: the backtracking strategy,
+	// whose answers are discovered in search order, not sorted order.
+	const src = "Q(y) <- A(x), Child(x, y), B(y), Child+(x, z), C(z), Following(y, z)"
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"cache-off", Config{}},
+		{"cache-on", Config{CacheBytes: 1 << 20, CacheMaxEntry: 200}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustServer(t, tc.cfg)
+			h := s.Handler()
+			pq := cqtrees.MustCompile(src)
+			rng := rand.New(rand.NewSource(13))
+			full := map[string][][]cqtrees.NodeID{}
+			maxLen := 0
+			for i := 0; i < 6; i++ {
+				name := fmt.Sprintf("d%02d", i)
+				doc, err := s.Corpus().AddTree(name, tree.Random(rng, tree.RandomConfig{
+					Nodes: 100, MaxChildren: 3, Alphabet: []string{"A", "B", "C"},
+				}))
+				if err != nil {
+					t.Fatalf("AddTree %s: %v", name, err)
+				}
+				if full[name], err = pq.AllErr(doc); err != nil {
+					t.Fatalf("AllErr %s: %v", name, err)
+				}
+				maxLen = max(maxLen, len(full[name]))
+			}
+			if maxLen < 2 {
+				t.Fatalf("corpus too small to exercise the cap: max relation %d", maxLen)
+			}
+
+			for _, workers := range []int{1, 4} {
+				for _, n := range []int{1, 2, maxLen, maxLen + 7} {
+					var resp evalResponse
+					body := fmt.Sprintf(`{"source": %q, "workers": %d, "max_answers": %d}`, src, workers, n)
+					wantStatus(t, do(t, h, "POST", "/eval", body, &resp), http.StatusOK)
+					if resp.Docs != len(full) || resp.Errors != 0 {
+						t.Fatalf("workers=%d cap=%d: %d rows, %d errors", workers, n, resp.Docs, resp.Errors)
+					}
+					truncated := 0
+					for _, r := range resp.Results {
+						want := full[r.Doc]
+						if len(want) <= n {
+							if r.Truncated || !slices.EqualFunc(r.Tuples, want, slices.Equal) {
+								t.Fatalf("workers=%d cap=%d %s: truncated=%v, %v != %v", workers, n, r.Doc, r.Truncated, r.Tuples, want)
+							}
+							continue
+						}
+						truncated++
+						if !r.Truncated || len(r.Tuples) != n {
+							t.Fatalf("workers=%d cap=%d %s: truncated=%v with %d of %d tuples", workers, n, r.Doc, r.Truncated, len(r.Tuples), len(want))
+						}
+						if !slices.IsSortedFunc(r.Tuples, slices.Compare) {
+							t.Fatalf("workers=%d cap=%d %s: capped tuples unsorted: %v", workers, n, r.Doc, r.Tuples)
+						}
+						for _, tup := range r.Tuples {
+							if !slices.ContainsFunc(want, func(w []cqtrees.NodeID) bool { return slices.Equal(w, tup) }) {
+								t.Fatalf("workers=%d cap=%d %s: tuple %v not in the full relation", workers, n, r.Doc, tup)
+							}
+						}
+					}
+					if resp.Truncated != truncated {
+						t.Fatalf("workers=%d cap=%d: response truncated=%d, want %d", workers, n, resp.Truncated, truncated)
+					}
+				}
+			}
+		})
+	}
 }
